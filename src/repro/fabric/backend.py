@@ -361,7 +361,7 @@ def backend_names() -> Tuple[str, ...]:
 def create_backend(name: str, nodes: Sequence[Node],
                    rng: np.random.Generator,
                    use_annealing: bool = True,
-                   downtime_rng: np.random.Generator = None
+                   downtime_rng: Optional[np.random.Generator] = None
                    ) -> OrchestratorBackend:
     """Instantiate the backend registered under ``name``."""
     _ensure_builtin_backends()

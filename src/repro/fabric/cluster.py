@@ -15,7 +15,6 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 import numpy as np
 
 from repro.errors import FabricError, PlacementError, UnknownReplicaError
-from repro.fabric import colstore
 from repro.fabric.backend import create_backend
 from repro.fabric.failover import (
     REASON_NODE_FAILURE,
@@ -93,7 +92,7 @@ class ServiceFabricCluster(ClusterView):
     def __init__(self, node_count: int, capacities: NodeCapacities,
                  plb_rng: np.random.Generator,
                  use_annealing: bool = True,
-                 downtime_rng: np.random.Generator = None,
+                 downtime_rng: Optional[np.random.Generator] = None,
                  backend: str = "annealing") -> None:
         if node_count <= 0:
             raise FabricError(f"node_count must be positive, got {node_count}")
@@ -106,11 +105,6 @@ class ServiceFabricCluster(ClusterView):
                                   use_annealing=use_annealing,
                                   downtime_rng=downtime_rng)
         self._services: Dict[str, ServiceRecord] = {}
-        #: Columnar replica-load backing (fleet-scale path); ``None``
-        #: selects the classic per-replica dict state.
-        self._load_store: Optional[colstore.ReplicaLoadStore] = (
-            colstore.ReplicaLoadStore() if colstore.columnar_enabled()
-            else None)
         #: Per-metric totals are static after construction (the node
         #: list and every node's capacities never change), but they are
         #: consulted in every telemetry frame and KPI assembly — so
@@ -235,14 +229,11 @@ class ServiceFabricCluster(ClusterView):
         record = ServiceRecord(service_id=service_id,
                                replica_count=replica_count,
                                cpu_cores=cpu_cores, created_at=now)
-        store = self._load_store
         for index, node_id in enumerate(node_ids):
             role = ReplicaRole.PRIMARY if index == 0 else ReplicaRole.SECONDARY
-            reported = store.allocate(loads) if store is not None \
-                else dict(loads)
             replica = Replica(replica_id=next(self._replica_ids),
                               service_id=service_id, role=role,
-                              reported=reported)
+                              reported=dict(loads))
             self.nodes[node_id].attach(replica)
             record.replicas.append(replica)
             self._replicas_by_id[replica.replica_id] = replica
@@ -256,13 +247,10 @@ class ServiceFabricCluster(ClusterView):
     def drop_service(self, service_id: str) -> ServiceRecord:
         """Remove all replicas of a service and free their capacity."""
         record = self.service(service_id)
-        store = self._load_store
         for replica in record.replicas:
             if replica.node_id is not None:
                 self.nodes[replica.node_id].detach(replica)
             del self._replicas_by_id[replica.replica_id]
-            if store is not None:
-                store.release(replica.reported)
         del self._services[service_id]
         self._rebuilding_until.pop(service_id, None)
         self.plb.unregister_service(self.naming, service_id)

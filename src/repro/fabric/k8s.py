@@ -102,7 +102,7 @@ class KubernetesBackend(OrchestratorBackend):
 
     def __init__(self, nodes: Sequence[Node], rng: np.random.Generator,
                  use_annealing: bool = True,
-                 downtime_rng: np.random.Generator = None) -> None:
+                 downtime_rng: Optional[np.random.Generator] = None) -> None:
         self._nodes = list(nodes)
         self._rng = rng
         self._downtime_rng = downtime_rng if downtime_rng is not None else rng

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set
 
 from repro.errors import FabricError
-from repro.fabric.colstore import ReplicaLoadView
 from repro.fabric.metrics import ALL_METRICS, NodeCapacities
 from repro.fabric.replica import Replica
 
@@ -84,24 +83,12 @@ class Node:
             raise FabricError(
                 f"replica {replica.replica_id} not on node {self.node_id}")
         reported = replica.reported
-        if isinstance(reported, ReplicaLoadView):
-            # Columnar fast path: one store round trip for the whole
-            # report instead of a scalar read+write per metric. The
-            # aggregate arithmetic below is unchanged — same values,
-            # same per-metric accumulation order — so runs are
-            # byte-identical to the scalar path.
-            old_values = reported.bulk_update(loads)
-            if old_values is not None:
-                for (metric, new_value), old_value in zip(loads.items(),
-                                                          old_values):
-                    self._loads[metric] = (self._loads.get(metric, 0.0)
-                                           + new_value - old_value)
-                return
+        node_loads = self._loads
         for metric, new_value in loads.items():
             old_value = reported.get(metric, 0.0)
             reported[metric] = new_value
-            self._loads[metric] = (self._loads.get(metric, 0.0)
-                                   + new_value - old_value)
+            node_loads[metric] = (node_loads.get(metric, 0.0)
+                                  + new_value - old_value)
 
     def load(self, metric: str) -> float:
         """Aggregate load of ``metric`` on this node."""

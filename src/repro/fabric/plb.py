@@ -13,7 +13,7 @@ Service Fabric's PLB does (§5.2); a greedy mode exists as an ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,7 +86,7 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                  anneal_iterations: int = 80,
                  cpu_weight: float = 1.0,
                  disk_weight: float = 0.05,
-                 downtime_rng: np.random.Generator = None) -> None:
+                 downtime_rng: Optional[np.random.Generator] = None) -> None:
         self._nodes = list(nodes)
         self._rng = rng
         self._downtime_rng = downtime_rng if downtime_rng is not None else rng
@@ -130,30 +130,102 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
             self.stats.placements += 1
             return list(initial)
 
-        by_id = {node.node_id: node for node in feasible}
         candidate_ids = [node.node_id for node in feasible]
-
-        def energy(selection: Tuple[int, ...]) -> float:
-            return self._selection_energy(selection, loads)
+        energy = self._placement_energy(loads)
+        # Every selection holds ``replica_count`` distinct candidates, so
+        # ``spare`` nodes lie outside each one. ``rng.integers(1)`` is 0
+        # and draws nothing from the stream, so single-choice draws are
+        # skipped without changing the draw sequence.
+        spare = len(candidate_ids) - replica_count
+        outside_of: Dict[Tuple[int, ...], List[int]] = {}
 
         def neighbour(selection: Tuple[int, ...],
                       rng: np.random.Generator) -> Tuple[int, ...]:
-            chosen = list(selection)
-            outside = [nid for nid in candidate_ids if nid not in selection]
-            if not outside:
-                return selection
-            swap_at = int(rng.integers(len(chosen)))
-            chosen[swap_at] = outside[int(rng.integers(len(outside)))]
-            return tuple(chosen)
+            outside = outside_of.get(selection)
+            if outside is None:
+                outside = [nid for nid in candidate_ids
+                           if nid not in selection]
+                outside_of[selection] = outside
+            swap_at = int(rng.integers(replica_count)) \
+                if replica_count > 1 else 0
+            swapped_in = outside[int(rng.integers(spare))] \
+                if spare > 1 else outside[0]
+            return (selection[:swap_at] + (swapped_in,)
+                    + selection[swap_at + 1:])
 
         result = anneal(initial, energy, neighbour, self._rng,
                         iterations=self.anneal_iterations)
         self.stats.anneal_iterations += result.iterations
         self.stats.placements += 1
         selection = list(result.state)  # type: ignore[arg-type]
-        assert len(set(selection)) == len(selection)
-        assert all(nid in by_id for nid in selection)
+        if len(set(selection)) != len(selection):
+            raise PlacementError(
+                f"service {service_id}: annealing chose a node twice "
+                f"({selection})")
+        if not set(selection).issubset(candidate_ids):
+            raise PlacementError(
+                f"service {service_id}: annealing chose an infeasible "
+                f"node ({selection})")
         return selection
+
+    def _placement_energy(self, loads: Dict[str, float]
+                          ) -> Callable[[Tuple[int, ...]], float]:
+        """Energy function of one placement decision.
+
+        A selection's energy is the cluster imbalance after
+        hypothetically placing the new replica on every node in it: the
+        sum of squared per-node utilizations over CPU and disk; squaring
+        penalizes hot nodes, which is what drives load-spreading.
+
+        Node loads do not change while one placement anneals, so each
+        node's four terms — CPU and disk, without and with the new
+        replica — are computed once here. ``energy`` adds the chosen
+        terms in node order, the same additions a per-node evaluation
+        makes, so the result is bit-equal to it. It memoizes per
+        selection tuple; the memo dies with the placement.
+        """
+        add_cpu = loads.get(CPU_CORES, 0.0)
+        add_disk = loads.get(DISK_GB, 0.0)
+        cpu_weight = self.cpu_weight
+        disk_weight = self.disk_weight
+        node_ids: List[int] = []
+        cpu_terms: List[float] = []
+        disk_terms: List[float] = []
+        cpu_terms_with: List[float] = []
+        disk_terms_with: List[float] = []
+        for node in self._nodes:
+            cpu = node.load(CPU_CORES)
+            disk = node.load(DISK_GB)
+            cpu_capacity = node.capacities.cpu_cores
+            disk_capacity = node.capacities.disk_gb
+            node_ids.append(node.node_id)
+            cpu_terms.append(cpu_weight * (cpu / cpu_capacity) ** 2)
+            disk_terms.append(disk_weight * (disk / disk_capacity) ** 2)
+            cpu_terms_with.append(
+                cpu_weight * ((cpu + add_cpu) / cpu_capacity) ** 2)
+            disk_terms_with.append(
+                disk_weight * ((disk + add_disk) / disk_capacity) ** 2)
+        terms = list(zip(node_ids, cpu_terms, disk_terms, cpu_terms_with,
+                         disk_terms_with))
+        memo: Dict[Tuple[int, ...], float] = {}
+
+        def energy(selection: Tuple[int, ...]) -> float:
+            total = memo.get(selection)
+            if total is not None:
+                return total
+            chosen = set(selection)
+            total = 0.0
+            for node_id, cpu_term, disk_term, cpu_with, disk_with in terms:
+                if node_id in chosen:
+                    total += cpu_with
+                    total += disk_with
+                else:
+                    total += cpu_term
+                    total += disk_term
+            memo[selection] = total
+            return total
+
+        return energy
 
     def make_room(self, now: int, service_id: str, replica_count: int,
                   loads: Dict[str, float],
@@ -227,25 +299,6 @@ class PlacementAndLoadBalancer(OrchestratorBackend):
                 self.stats.make_room_moves += 1
                 return record
         return None
-
-    def _selection_energy(self, selection: Tuple[int, ...],
-                          loads: Dict[str, float]) -> float:
-        """Cluster imbalance after hypothetically placing on ``selection``.
-
-        Sum of squared per-node utilizations over CPU and disk; squaring
-        penalizes hot nodes, which is what drives load-spreading.
-        """
-        chosen = set(selection)
-        energy = 0.0
-        for node in self._nodes:
-            cpu = node.load(CPU_CORES)
-            disk = node.load(DISK_GB)
-            if node.node_id in chosen:
-                cpu += loads.get(CPU_CORES, 0.0)
-                disk += loads.get(DISK_GB, 0.0)
-            energy += self.cpu_weight * (cpu / node.capacities.cpu_cores) ** 2
-            energy += self.disk_weight * (disk / node.capacities.disk_gb) ** 2
-        return energy
 
     # ------------------------------------------------------------------
     # Capacity violations / failovers

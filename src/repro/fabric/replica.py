@@ -22,7 +22,7 @@ class ReplicaRole(enum.Enum):
     SECONDARY = "secondary"
 
 
-@dataclass
+@dataclass(slots=True)
 class Replica:
     """One replica of a service placed on a node.
 

@@ -5,29 +5,22 @@ database: its SLO, creation/drop timestamps, accumulated downtime (for
 the SLA penalty in §5.1), and the behaviour flags Toto's disk models
 key on (high initial growth, predictable rapid growth).
 
-Since the fleet-scale refactor (ROADMAP item 1) the numeric/flag
-lifecycle state no longer lives in per-instance attributes: each
-instance is a thin handle onto one row of a
-:class:`~repro.sqldb.dbcolumns.DatabaseStateColumns` struct-of-arrays
-store shared by its control plane. Standalone instances (tests,
-unpickles) get a private :class:`~repro.sqldb.dbcolumns.ObjectDatabaseState`
-backing with identical semantics. The public attribute surface —
-``created_at``, ``dropped_at``, ``downtime_seconds`` etc., all
-readable and writable — is unchanged from the old dataclass.
+The class keeps the attribute surface, equality, ``repr`` and pickle
+payload of the dataclass it started as, but declares ``__slots__``:
+a ring holds every database it ever created, so the per-instance
+``__dict__`` is worth saving.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SqlDbError
-from repro.sqldb.dbcolumns import DatabaseStateColumns, ObjectDatabaseState
 from repro.sqldb.editions import Edition, GP_TEMPDB_BASELINE_GB
 from repro.sqldb.slo import ServiceLevelObjective
 
 #: Lifecycle fields in the (former dataclass) field order — the order
-#: used by ``__repr__``, ``__eq__`` and the pickle payload, so pickles
-#: and reprs are byte-identical to the pre-columnar implementation.
+#: used by ``__repr__``, ``__eq__`` and the pickle payload.
 _STATE_FIELDS: Tuple[str, ...] = (
     "created_at", "initial_data_gb", "dropped_at", "downtime_seconds",
     "high_initial_growth", "initial_growth_total_gb", "rapid_growth",
@@ -54,9 +47,10 @@ class DatabaseInstance:
             this database (§4.2.4).
         from_bootstrap: True for databases placed before the benchmark
             officially starts (growth frozen during bootstrap, §5.2).
+        failover_count: failovers that cost this database downtime.
     """
 
-    __slots__ = ("db_id", "slo", "dropped_replica_ids", "_state", "_row")
+    __slots__ = ("db_id", "slo") + _STATE_FIELDS + ("dropped_replica_ids",)
 
     def __init__(self, db_id: str, slo: ServiceLevelObjective,
                  created_at: int, initial_data_gb: float,
@@ -67,99 +61,25 @@ class DatabaseInstance:
                  rapid_growth: bool = False,
                  from_bootstrap: bool = False,
                  failover_count: int = 0,
-                 dropped_replica_ids: Optional[List[int]] = None,
-                 state: Optional[DatabaseStateColumns] = None) -> None:
+                 dropped_replica_ids: Optional[List[int]] = None) -> None:
         if initial_data_gb < 0:
             raise SqlDbError(
                 f"{db_id}: negative initial data size "
                 f"{initial_data_gb}")
         self.db_id = db_id
         self.slo = slo
+        self.created_at = created_at
+        self.initial_data_gb = initial_data_gb
+        self.dropped_at = dropped_at
+        self.downtime_seconds = downtime_seconds
+        self.high_initial_growth = high_initial_growth
+        self.initial_growth_total_gb = initial_growth_total_gb
+        self.rapid_growth = rapid_growth
+        self.from_bootstrap = from_bootstrap
+        self.failover_count = failover_count
         #: Replica ids released at drop time (per-node cache cleanup).
         self.dropped_replica_ids: List[int] = (
             [] if dropped_replica_ids is None else dropped_replica_ids)
-        backing: Union[DatabaseStateColumns, ObjectDatabaseState]
-        backing = ObjectDatabaseState() if state is None else state
-        self._state = backing
-        self._row = backing.allocate()
-        backing.init_row(
-            self._row, created_at, initial_data_gb, dropped_at,
-            downtime_seconds, failover_count, high_initial_growth,
-            initial_growth_total_gb, rapid_growth, from_bootstrap)
-
-    # -- lifecycle state, delegated to the columnar/object backing -----
-
-    @property
-    def created_at(self) -> int:
-        return self._state.created_at(self._row)
-
-    @created_at.setter
-    def created_at(self, value: int) -> None:
-        self._state.set_created_at(self._row, value)
-
-    @property
-    def dropped_at(self) -> Optional[int]:
-        return self._state.dropped_at(self._row)
-
-    @dropped_at.setter
-    def dropped_at(self, value: Optional[int]) -> None:
-        self._state.set_dropped_at(self._row, value)
-
-    @property
-    def downtime_seconds(self) -> float:
-        return self._state.downtime_seconds(self._row)
-
-    @downtime_seconds.setter
-    def downtime_seconds(self, value: float) -> None:
-        self._state.set_downtime_seconds(self._row, value)
-
-    @property
-    def failover_count(self) -> int:
-        return self._state.failover_count(self._row)
-
-    @failover_count.setter
-    def failover_count(self, value: int) -> None:
-        self._state.set_failover_count(self._row, value)
-
-    @property
-    def initial_data_gb(self) -> float:
-        return self._state.initial_data_gb(self._row)
-
-    @initial_data_gb.setter
-    def initial_data_gb(self, value: float) -> None:
-        self._state.set_initial_data_gb(self._row, value)
-
-    @property
-    def initial_growth_total_gb(self) -> float:
-        return self._state.initial_growth_total_gb(self._row)
-
-    @initial_growth_total_gb.setter
-    def initial_growth_total_gb(self, value: float) -> None:
-        self._state.set_initial_growth_total_gb(self._row, value)
-
-    @property
-    def high_initial_growth(self) -> bool:
-        return self._state.high_initial_growth(self._row)
-
-    @high_initial_growth.setter
-    def high_initial_growth(self, value: bool) -> None:
-        self._state.set_high_initial_growth(self._row, value)
-
-    @property
-    def rapid_growth(self) -> bool:
-        return self._state.rapid_growth(self._row)
-
-    @rapid_growth.setter
-    def rapid_growth(self, value: bool) -> None:
-        self._state.set_rapid_growth(self._row, value)
-
-    @property
-    def from_bootstrap(self) -> bool:
-        return self._state.from_bootstrap(self._row)
-
-    @from_bootstrap.setter
-    def from_bootstrap(self, value: bool) -> None:
-        self._state.set_from_bootstrap(self._row, value)
 
     # -- dataclass-compatible protocol ---------------------------------
 
@@ -193,8 +113,7 @@ class DatabaseInstance:
         return f"DatabaseInstance({', '.join(parts)})"
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Pure-Python scalars in fixed field order: columnar- and
-        # object-backed instances pickle to identical bytes.
+        # The dataclass-era payload: a dict in field order.
         state: Dict[str, Any] = {"db_id": self.db_id, "slo": self.slo}
         for name in _STATE_FIELDS:
             state[name] = getattr(self, name)
@@ -202,18 +121,8 @@ class DatabaseInstance:
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.db_id = state["db_id"]
-        self.slo = state["slo"]
-        self.dropped_replica_ids = state["dropped_replica_ids"]
-        backing = ObjectDatabaseState()
-        self._state = backing
-        self._row = backing.allocate()
-        backing.init_row(
-            self._row, state["created_at"], state["initial_data_gb"],
-            state["dropped_at"], state["downtime_seconds"],
-            state["failover_count"], state["high_initial_growth"],
-            state["initial_growth_total_gb"], state["rapid_growth"],
-            state["from_bootstrap"])
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- derived views (unchanged) -------------------------------------
 

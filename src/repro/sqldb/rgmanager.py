@@ -99,6 +99,11 @@ class RgManager:
         #: spawn key, but deriving that key hashes the name path — too
         #: hot for a lookup that happens on every metric-report RPC.
         self._streams: Dict[str, np.random.Generator] = {}
+        #: Resolved models, metric -> database id -> model (or None
+        #: when no model applies). Selectors read only a database's
+        #: edition, SLO and id, none of which change after creation,
+        #: so an entry stays exact until the model set is replaced.
+        self._resolved: Dict[str, Dict[str, Optional[ResourceModel]]] = {}
 
     # ------------------------------------------------------------------
 
@@ -107,6 +112,26 @@ class RgManager:
         """Replace the active model set (called by the XML refresh)."""
         self.model_set = model_set
         self.model_version = version
+        self._resolved.clear()
+
+    def forget_database(self, db_id: str) -> None:
+        """Drop the resolved models of a dropped database."""
+        for per_metric in self._resolved.values():
+            per_metric.pop(db_id, None)
+
+    def _find_model(self, metric: str, database: DatabaseInstance
+                    ) -> Optional[ResourceModel]:
+        """``model_set.find`` memoized per (metric, database)."""
+        per_metric = self._resolved.get(metric)
+        if per_metric is None:
+            per_metric = {}
+            self._resolved[metric] = per_metric
+        db_id = database.db_id
+        if db_id in per_metric:
+            return per_metric[db_id]
+        model = self.model_set.find(metric, database)
+        per_metric[db_id] = model
+        return model
 
     def observability_counters(self) -> Dict[str, int]:
         """Cumulative per-node counters for the metric registry.
@@ -159,7 +184,7 @@ class RgManager:
         self.rpcs_served += 1
         loads: Dict[str, float] = {}
         for metric in DYNAMIC_METRICS:
-            model = (self.model_set.find(metric, database)
+            model = (self._find_model(metric, database)
                      if self.model_set is not None else None)
             if model is None:
                 loads[metric] = replica.load(metric)
@@ -218,7 +243,7 @@ class RgManager:
             sigmas.clear()
 
         for replica, database in zip(replicas, databases):
-            model = self.model_set.find(CPU_USED_CORES, database)
+            model = self._find_model(CPU_USED_CORES, database)
             if model is None:
                 continue
             if hasattr(model, "utilization_params"):
@@ -245,7 +270,7 @@ class RgManager:
         """
         if self.model_set is None:
             return
-        model = self.model_set.find(CPU_USED_CORES, database)
+        model = self._find_model(CPU_USED_CORES, database)
         if model is None:
             return
         value = self._memory_value(model, replica, database, now,

@@ -213,6 +213,8 @@ class TenantRing:
         self.rgmanagers[record.from_node].forget_replica(record.replica_id)
 
     def _on_drop(self, database: DatabaseInstance) -> None:
+        for rgmanager in self.rgmanagers:
+            rgmanager.forget_database(database.db_id)
         for replica_id in database.dropped_replica_ids:
             for rgmanager in self.rgmanagers:
                 rgmanager.forget_replica(replica_id)

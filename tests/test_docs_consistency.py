@@ -261,10 +261,6 @@ class TestFleetDoc:
             assert f"`{name}`" in FLEET_DOC, \
                 f"docs/FLEET.md does not document metric {name}"
 
-    def test_columnar_escape_hatch_documented(self):
-        assert "TOTO_OBJECT_STATE" in FLEET_DOC
-        assert "TOTO_OBJECT_STATE" in README
-
     def test_template_fields_documented(self):
         import dataclasses
         from repro.fleet import ClusterTemplate

@@ -10,7 +10,11 @@ fire on any drift.
 
 import json
 
-from benchmarks.emit_bench import check_fleet_gate, run_checks
+from benchmarks.emit_bench import (
+    check_fleet_gate,
+    check_single_run_gate,
+    run_checks,
+)
 from repro.fleet import ClusterTemplate, FleetTopology, run_fleet
 
 
@@ -110,6 +114,74 @@ class TestExplicitGateField:
         assert committed["sweep"]["gate"] in ("skipped", "active")
         if committed["sweep"]["speedup"] is None:
             assert committed["sweep"]["gate"] == "skipped"
+
+
+class TestSingleRunGate:
+    """The end-to-end ``single_run`` wall-time gate."""
+
+    ROW = {"days": 0.01, "events": 1, "seconds": 10.0,
+           "events_per_sec": 0.1, "passes": 3}
+
+    def stub_run(self, monkeypatch, seconds):
+        import benchmarks.emit_bench as emit_bench
+        calls = []
+
+        def fake(days):
+            calls.append(days)
+            return {"seconds": seconds}
+
+        monkeypatch.setattr(emit_bench, "bench_single_run", fake)
+        monkeypatch.setattr(emit_bench.os, "cpu_count", lambda: 2)
+        return calls
+
+    def test_missing_row_is_skipped(self, capsys):
+        assert check_single_run_gate(None, committed_cpus=2) == 0
+        assert "no single_run row" in capsys.readouterr().out
+
+    def test_skipped_across_core_counts(self, monkeypatch, capsys):
+        calls = self.stub_run(monkeypatch, seconds=99.0)
+        assert check_single_run_gate(self.ROW, committed_cpus=1) == 0
+        assert "single_run gate SKIPPED" in capsys.readouterr().out
+        assert calls == []
+
+    def test_within_tolerance_passes(self, monkeypatch, capsys):
+        calls = self.stub_run(monkeypatch, seconds=12.4)
+        assert check_single_run_gate(self.ROW, committed_cpus=2) == 0
+        assert "-> OK" in capsys.readouterr().out
+        assert calls == [0.01]  # the committed configuration
+
+    def test_slow_run_fails(self, monkeypatch, capsys):
+        self.stub_run(monkeypatch, seconds=12.6)
+        assert check_single_run_gate(self.ROW, committed_cpus=2) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_run_checks_includes_the_gate(self, tmp_path, monkeypatch,
+                                          capsys):
+        self.stub_run(monkeypatch, seconds=30.0)
+        path = committed_record(tmp_path, machine={"cpu_count": 2},
+                                single_run=self.ROW)
+        # The kernel gate is active too on a matching core count.
+        import benchmarks.emit_bench as emit_bench
+        monkeypatch.setattr(emit_bench, "check_kernel_regression",
+                            lambda measured, out_path: 0)
+        monkeypatch.setattr(emit_bench, "bench_kernel",
+                            lambda events: {"events_per_sec": 1.0})
+        assert run_checks(path, kernel_events=1) == 1
+        assert "single_run seconds: measured 30.0" in capsys.readouterr().out
+
+    def test_emitter_records_best_of_passes(self):
+        import benchmarks.emit_bench as emit_bench
+        row = emit_bench.bench_single_run(days=0.01)
+        assert row["passes"] == emit_bench.SINGLE_RUN_PASSES
+        assert row["seconds"] > 0
+        assert row["events"] > 0
+
+    def test_committed_record_has_a_single_run_row(self):
+        import pathlib
+        root = pathlib.Path(__file__).resolve().parent.parent
+        committed = json.loads((root / "BENCH_perf.json").read_text())
+        assert committed["single_run"]["passes"] == 3
+        assert committed["single_run"]["seconds"] > 0
 
 
 class TestFleetGate:

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PlacementError
+from repro.fabric import plb as plb_module
+from repro.fabric.annealing import AnnealResult, anneal
 from repro.fabric.cluster import ServiceFabricCluster
 from repro.fabric.failover import REASON_CAPACITY_VIOLATION, REASON_MAKE_ROOM
-from repro.fabric.metrics import CPU_CORES, DISK_GB, NodeCapacities
-from repro.fabric.replica import ReplicaRole
+from repro.fabric.metrics import CPU_CORES, DISK_GB, MEMORY_GB, NodeCapacities
+from repro.fabric.node import Node
+from repro.fabric.plb import PlacementAndLoadBalancer
+from repro.fabric.replica import Replica, ReplicaRole
 
 
 def make_cluster(node_count=4, cpu=32.0, disk=1000.0, seed=3,
@@ -195,3 +201,156 @@ class TestInvariants:
             cluster.drop_service(f"svc-{index}")
         cluster.validate_invariants()
         assert cluster.service_count == 20
+
+
+def reference_energy(plb, selection, loads):
+    """The per-node energy evaluation the precomputed terms replace."""
+    chosen = set(selection)
+    energy = 0.0
+    for node in plb._nodes:
+        cpu = node.load(CPU_CORES)
+        disk = node.load(DISK_GB)
+        if node.node_id in chosen:
+            cpu += loads.get(CPU_CORES, 0.0)
+            disk += loads.get(DISK_GB, 0.0)
+        energy += plb.cpu_weight * (cpu / node.capacities.cpu_cores) ** 2
+        energy += plb.disk_weight * (disk / node.capacities.disk_gb) ** 2
+    return energy
+
+
+class ReferencePlb(PlacementAndLoadBalancer):
+    """Annealing placement without precomputed terms, memos or skips.
+
+    Every energy is evaluated from scratch and every neighbour makes
+    both ``rng.integers`` calls, even over a single choice.
+    """
+
+    def find_placement(self, service_id, replica_count, loads):
+        feasible = self._feasible_nodes(service_id, loads)
+        if len(feasible) < replica_count:
+            self.stats.placement_failures += 1
+            raise PlacementError(service_id)
+        feasible.sort(key=lambda n: (-n.free(CPU_CORES), n.node_id))
+        initial = tuple(node.node_id for node in feasible[:replica_count])
+        if len(feasible) == replica_count:
+            self.stats.placements += 1
+            return list(initial)
+        candidate_ids = [node.node_id for node in feasible]
+
+        def neighbour(selection, rng):
+            chosen = list(selection)
+            outside = [nid for nid in candidate_ids if nid not in selection]
+            swap_at = int(rng.integers(len(chosen)))
+            chosen[swap_at] = outside[int(rng.integers(len(outside)))]
+            return tuple(chosen)
+
+        result = anneal(initial,
+                        lambda selection: reference_energy(self, selection,
+                                                           loads),
+                        neighbour, self._rng,
+                        iterations=self.anneal_iterations)
+        self.stats.anneal_iterations += result.iterations
+        self.stats.placements += 1
+        return list(result.state)
+
+
+_POSITIVE = st.floats(min_value=0.5, max_value=1e4, allow_nan=False)
+_LOAD = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
+
+
+@st.composite
+def energy_cases(draw):
+    """Random node loads and capacities, a selection, and new loads."""
+    node_count = draw(st.integers(min_value=1, max_value=12))
+    nodes = []
+    for node_id in range(node_count):
+        node = Node(node_id, NodeCapacities(cpu_cores=draw(_POSITIVE),
+                                            disk_gb=draw(_POSITIVE),
+                                            memory_gb=128.0))
+        for index in range(draw(st.integers(min_value=0, max_value=3))):
+            node.attach(Replica(
+                replica_id=node_id * 10 + index,
+                service_id=f"svc-{node_id}-{index}",
+                role=ReplicaRole.PRIMARY,
+                reported={DISK_GB: draw(_LOAD), MEMORY_GB: draw(_LOAD),
+                          CPU_CORES: draw(_LOAD)}))
+        nodes.append(node)
+    plb = PlacementAndLoadBalancer(nodes, np.random.default_rng(0),
+                                   cpu_weight=draw(_POSITIVE),
+                                   disk_weight=draw(_POSITIVE))
+    selection = tuple(draw(st.permutations(range(node_count)))[
+        :draw(st.integers(min_value=1, max_value=node_count))])
+    loads = {}
+    if draw(st.booleans()):
+        loads[CPU_CORES] = draw(_LOAD)
+    if draw(st.booleans()):
+        loads[DISK_GB] = draw(_LOAD)
+    if draw(st.booleans()):
+        loads[MEMORY_GB] = draw(_LOAD)
+    return plb, selection, loads
+
+
+class TestPlacementEnergy:
+    @given(case=energy_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_precomputed_energy_is_bit_equal(self, case):
+        plb, selection, loads = case
+        energy = plb._placement_energy(loads)
+        expected = reference_energy(plb, selection, loads)
+        assert energy(selection) == expected
+        assert energy(selection) == expected  # memoized
+
+    def test_memo_does_not_carry_over_between_placements(self):
+        cluster = make_cluster(node_count=4)
+        plb = cluster.plb
+        loads = {CPU_CORES: 4.0, DISK_GB: 50.0}
+        selection = (0, 1)
+        first = plb._placement_energy(loads)
+        before = first(selection)
+        cluster.create_service("db-1", 4, 8.0, {DISK_GB: 200.0}, now=0)
+        second = plb._placement_energy(loads)
+        after = second(selection)
+        assert after == reference_energy(plb, selection, loads)
+        assert after != before
+        assert first(selection) == before
+
+    @pytest.mark.parametrize("node_count", [2, 5, 8])
+    def test_placements_match_reference(self, node_count):
+        """Same placements and the same PLB stream state afterwards."""
+        def run(plb_class):
+            cluster = make_cluster(node_count=node_count, cpu=64.0,
+                                   disk=4096.0)
+            cluster.plb = plb_class(cluster.nodes, cluster.plb._rng)
+            rng = np.random.default_rng(11)
+            placements = []
+            for index in range(40):
+                replicas = int(rng.choice([1, 2, 4]))
+                if replicas > node_count:
+                    continue
+                try:
+                    record = cluster.create_service(
+                        f"db-{index}", replicas, float(rng.integers(1, 8)),
+                        {DISK_GB: float(rng.integers(10, 300))}, now=index)
+                except PlacementError:
+                    placements.append(None)
+                    continue
+                placements.append([r.node_id for r in record.replicas])
+            placements.append(cluster.plb._rng.bit_generator.state)
+            return placements, cluster.plb.stats
+
+        placements, stats = run(PlacementAndLoadBalancer)
+        reference, reference_stats = run(ReferencePlb)
+        assert placements == reference
+        assert stats == reference_stats
+        assert stats.anneal_iterations > 0
+
+    def test_duplicate_node_in_annealed_selection_raises(self, monkeypatch):
+        """The invariant checks survive ``python -O``."""
+        def broken_anneal(initial, energy, neighbour, rng, iterations):
+            return AnnealResult(state=(initial[0], initial[0]), energy=0.0,
+                                iterations=iterations, accepted_moves=0)
+
+        monkeypatch.setattr(plb_module, "anneal", broken_anneal)
+        cluster = make_cluster(node_count=4)
+        with pytest.raises(PlacementError, match="chose a node twice"):
+            cluster.plb.find_placement("db-1", 2, {CPU_CORES: 1.0})

@@ -1,249 +1,65 @@
-"""The columnar-state identity contract (docs/FLEET.md).
+"""Fleet-scale pins: database pickle payloads and the 100-cluster golden.
 
-The fleet layer's tentpole refactor moved hot per-replica and
-per-database state into struct-of-arrays stores
-(:mod:`repro.fabric.colstore`, :mod:`repro.sqldb.dbcolumns`) behind the
-unchanged object APIs. These tests pin the contract that made that
-safe: with the same seeds, the columnar path and the object-graph path
-are *draw-for-draw and byte-identical* — same KPIs, same telemetry
-frames, same revenue, same pickled databases — under arbitrary
-create/drop/failover/chaos workloads. A golden 100-cluster fleet smoke
-pins the merged digest so any silent drift in either path fails loudly.
+Fleet results cross process boundaries as pickles, so the
+:class:`~repro.sqldb.database.DatabaseInstance` payload and ``repr`` are
+pinned byte for byte. A golden 100-cluster fleet smoke pins the merged
+digest so any silent drift in the simulator fails loudly.
 """
 
-import dataclasses
 import hashlib
 import pickle
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ScenarioError
-from repro.experiments.scenarios import chaos_profile, paper_scenario
-from repro.fabric import colstore
-from repro.fabric.colstore import (
-    CPU_CORES,
-    DISK_GB,
-    MEMORY_GB,
-    STORE_METRICS,
-    ReplicaLoadStore,
-)
-from repro.core.runner import run_scenario
 from repro.fleet import ClusterTemplate, FleetTopology, run_fleet
 from repro.sqldb.database import DatabaseInstance
-from repro.sqldb.dbcolumns import DatabaseStateColumns
 from repro.sqldb.slo import get_slo
 
 
-def result_bytes(result):
-    """Everything a study consumes, serialized one canonical way."""
-    payload = pickle.dumps(
-        (result.scenario.name, result.kpis, result.revenue, result.frames,
-         result.databases, result.failovers, result.redirects,
-         result.events_executed),
-        protocol=pickle.HIGHEST_PROTOCOL)
-    return hashlib.sha256(payload).hexdigest()
-
-
-def run_both_paths(scenario):
-    """Run ``scenario`` once per state backend; restore the default."""
-    original = colstore.COLUMNAR_STATE
-    try:
-        colstore.COLUMNAR_STATE = True
-        columnar = run_scenario(scenario)
-        colstore.COLUMNAR_STATE = False
-        objects = run_scenario(scenario)
-    finally:
-        colstore.COLUMNAR_STATE = original
-    return columnar, objects
-
-
-class TestColumnarObjectIdentity:
-    """Full-run A/B: columnar state vs object graph, byte for byte."""
-
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1),
-           density=st.sampled_from([1.0, 1.1, 1.4]))
-    @settings(max_examples=4, deadline=None)
-    def test_random_workloads_byte_identical(self, seed, density):
-        scenario = paper_scenario(density=density, days=0.05, seed=seed,
-                                  maintenance=False)
-        try:
-            columnar, objects = run_both_paths(scenario)
-        except ScenarioError:
-            # Rare seeds sample a bootstrap population the ring cannot
-            # host; identity is vacuous for them.
-            assume(False)
-        assert result_bytes(columnar) == result_bytes(objects)
-
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=2, deadline=None)
-    def test_chaos_workloads_byte_identical(self, seed):
-        """Fault injection (failovers, probes, retries) included."""
-        scenario = dataclasses.replace(
-            paper_scenario(density=1.1, days=0.05, seed=seed,
-                           maintenance=False),
-            chaos=chaos_profile("moderate"))
-        try:
-            columnar, objects = run_both_paths(scenario)
-        except ScenarioError:
-            assume(False)
-        assert columnar.kpis.chaos is not None
-        assert result_bytes(columnar) == result_bytes(objects)
-
-
-# ---------------------------------------------------------------------------
-# Store-level property: the view is indistinguishable from the dict it
-# replaced, for every operation sequence the cluster actually performs.
-# ---------------------------------------------------------------------------
-
-_OPS = st.lists(
-    st.tuples(st.sampled_from(["allocate", "set_cpu", "update", "delete",
-                               "extra", "release", "bulk"]),
-              st.integers(min_value=0, max_value=10**6),
-              st.floats(min_value=0.0, max_value=1e6,
-                        allow_nan=False, allow_infinity=False)),
-    min_size=1, max_size=60)
-
-
-class TestReplicaLoadStoreProperty:
-    @given(ops=_OPS)
-    @settings(max_examples=50, deadline=None)
-    def test_view_tracks_dict_model(self, ops):
-        """Replay a random realistic op sequence against both backends.
-
-        "Realistic" mirrors the cluster's actual life cycle: allocate
-        with {disk, memory}, append the CPU reservation, update values
-        in place, spill the odd non-core metric, delete (terminally),
-        release on drop. After every op each live view must equal its
-        dict model — same keys, same values, same iteration order.
-        """
-        store = ReplicaLoadStore()
-        live = []      # (view, model) pairs
-        deleted = []   # per-pair set of terminally deleted metrics
-        spilled = []   # per-pair: has a non-core metric been added yet
-        extra_serial = 0
-        for kind, pick, value in ops:
-            if kind == "allocate":
-                model = {DISK_GB: value, MEMORY_GB: value + 1.0}
-                view = store.allocate(dict(model))
-                live.append((view, model))
-                deleted.append(set())
-                spilled.append(False)
-            elif not live:
-                continue
-            else:
-                index = pick % len(live)
-                view, model = live[index]
-                gone = deleted[index]
-                # The cluster appends the CPU reservation right after
-                # allocation, always before any spill metric exists.
-                if (kind == "set_cpu" and CPU_CORES not in gone
-                        and not spilled[index]):
-                    view[CPU_CORES] = value
-                    model[CPU_CORES] = value
-                elif kind == "update":
-                    keys = [key for key in model]
-                    if keys:
-                        key = keys[pick % len(keys)]
-                        view[key] = value
-                        model[key] = value
-                elif kind == "delete":
-                    keys = [key for key in model]
-                    if keys:
-                        key = keys[pick % len(keys)]
-                        del view[key]
-                        del model[key]
-                        gone.add(key)
-                elif kind == "bulk":
-                    # The report sweep's path: update every present
-                    # core metric in one store round trip. Old values
-                    # must come back exactly as scalar gets would.
-                    updates = {key: value + offset
-                               for offset, key in enumerate(model)
-                               if key in STORE_METRICS}
-                    expected_old = [model.get(key, 0.0) for key in updates]
-                    old = view.bulk_update(updates)
-                    model.update(updates)
-                    if view._detached is None and all(
-                            key in STORE_METRICS for key in updates):
-                        assert old == expected_old
-                elif kind == "extra":
-                    key = f"custom_metric_{extra_serial}"
-                    extra_serial += 1
-                    view[key] = value
-                    model[key] = value
-                    spilled[index] = True
-                elif kind == "release":
-                    store.release(view)
-                    live.pop(index)
-                    deleted.pop(index)
-                    spilled.pop(index)
-            for view, model in live:
-                assert view == model
-                assert dict(view) == model
-                assert list(view.items()) == list(model.items())
-                assert list(view) == list(model)
-                assert len(view) == len(model)
-                for key, expected in model.items():
-                    assert view[key] == expected
-                    assert view.get(key) == expected
-                    assert key in view
-
-    def test_iteration_follows_store_metric_order(self):
-        """The canonical insertion order is the column order."""
-        store = ReplicaLoadStore()
-        view = store.allocate({DISK_GB: 10.0, MEMORY_GB: 20.0})
-        view[CPU_CORES] = 4.0
-        assert tuple(view) == STORE_METRICS
-
-    def test_rows_are_recycled_after_release(self):
-        store = ReplicaLoadStore()
-        first = store.allocate({DISK_GB: 1.0, MEMORY_GB: 2.0})
-        row = first._row
-        store.release(first)
-        second = store.allocate({DISK_GB: 3.0, MEMORY_GB: 4.0})
-        assert second._row == row
-        assert second[DISK_GB] == 3.0
-
-
 class TestDatabasePickleIdentity:
-    """Columnar-backed and standalone instances pickle identically."""
+    """Pickles and reprs keep the dataclass-era bytes."""
 
-    def pair(self):
-        columns = DatabaseStateColumns()
-        slo = get_slo("GP_Gen5_2")
-        columnar = DatabaseInstance(db_id="db-7", slo=slo, created_at=3600,
-                                    initial_data_gb=12.5, state=columns)
-        standalone = DatabaseInstance(db_id="db-7", slo=slo, created_at=3600,
-                                      initial_data_gb=12.5)
-        return columnar, standalone
+    #: sha256 of the pickle below: a field-ordered dict of plain
+    #: scalars. Parallel sweeps ship results, databases included, in it.
+    PAYLOAD_SHA256 = ("9b29cd58a1a20b646e0a8ceac8b121af"
+                      "e853c331f7099d56c7b365fc46ce5909")
+
+    def instance(self):
+        return DatabaseInstance(db_id="db-7", slo=get_slo("GP_Gen5_2"),
+                                created_at=3600, initial_data_gb=12.5)
 
     def test_pickle_bytes_equal(self):
-        columnar, standalone = self.pair()
-        columnar.failover_count = 2
-        standalone.failover_count = 2
-        columnar.record_downtime(1.5)
-        standalone.record_downtime(1.5)
-        assert (pickle.dumps(columnar, protocol=pickle.HIGHEST_PROTOCOL)
-                == pickle.dumps(standalone, protocol=pickle.HIGHEST_PROTOCOL))
-        assert columnar == standalone
+        database = self.instance()
+        database.failover_count = 2
+        database.record_downtime(1.5)
+        payload = pickle.dumps(database, protocol=pickle.HIGHEST_PROTOCOL)
+        assert hashlib.sha256(payload).hexdigest() == self.PAYLOAD_SHA256
+        assert repr(database) == (
+            "DatabaseInstance(db_id='db-7', slo=ServiceLevelObjective("
+            "name='GP_Gen5_2', edition=<Edition.STANDARD_GP: "
+            "'Standard/GP'>, cores=2, memory_gb=10.2, max_data_gb=4096.0), "
+            "created_at=3600, initial_data_gb=12.5, dropped_at=None, "
+            "downtime_seconds=1.5, high_initial_growth=False, "
+            "initial_growth_total_gb=0.0, rapid_growth=False, "
+            "from_bootstrap=False, failover_count=3, "
+            "dropped_replica_ids=[])")
 
     def test_unpickled_instance_is_standalone_and_equal(self):
-        columnar, _ = self.pair()
-        clone = pickle.loads(pickle.dumps(columnar))
-        assert clone == columnar
-        clone.failover_count = 9   # must not write into the shared columns
-        assert columnar.failover_count == 0
+        database = self.instance()
+        clone = pickle.loads(pickle.dumps(database))
+        assert clone == database
+        clone.failover_count = 9
+        assert database.failover_count == 0
+        assert clone != database
 
 
 @pytest.mark.fleet
 class TestFleetGolden:
-    """Golden pinned 100-cluster fleet smoke (columnar default path).
+    """Golden pinned 100-cluster fleet smoke.
 
     The digest is a sha256 over the canonical JSON of all 100 cluster
-    summaries — any drift in the simulator, the columnar stores, the
-    reducer, or the merge shows up here first.
+    summaries — any drift in the simulator, the replica and database
+    state, the reducer, or the merge shows up here first.
     """
 
     GOLDEN_DIGEST = ("cb442bafd96614c58ce330cc05169da648e488b4"

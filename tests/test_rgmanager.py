@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core.model_base import TotoModelSet
+from repro.core.model_xml import TotoModelDocument
+from repro.core.orchestrator import TotoOrchestrator
 from repro.fabric.metrics import DISK_GB, MEMORY_GB
 from repro.fabric.naming import NamingService
 from repro.fabric.replica import Replica, ReplicaRole
@@ -18,7 +20,8 @@ from repro.sqldb.database import DatabaseInstance
 from repro.sqldb.editions import Edition
 from repro.sqldb.rgmanager import RgManager, persisted_load_key
 from repro.sqldb.slo import get_slo
-from tests.conftest import make_flat_disk_model
+from repro.units import HOUR, MINUTE
+from tests.conftest import make_flat_disk_model, make_ring
 
 
 @pytest.fixture
@@ -211,3 +214,83 @@ class TestModelInstall:
         replica = make_replica(disk=42.0)
         loads = rgmanager.get_metric_loads(replica, make_db(), 300, 300)
         assert loads[DISK_GB] == 42.0
+
+
+class CountingModelSet(TotoModelSet):
+    """A model set that counts its ``find`` calls."""
+
+    def __init__(self, models):
+        super().__init__(models)
+        self.find_calls = 0
+
+    def find(self, metric, database):
+        self.find_calls += 1
+        return super().find(metric, database)
+
+
+def resolved_entries(rgmanager, db_id):
+    """The metrics a node holds a resolved model for, for one database."""
+    return sorted(metric for metric, per_db in rgmanager._resolved.items()
+                  if db_id in per_db)
+
+
+class TestModelResolutionMemo:
+    """``model_set.find`` runs once per (metric, database, blob version)."""
+
+    def document(self, mu):
+        return TotoModelDocument(resource_models=[
+            make_flat_disk_model(Edition.PREMIUM_BC, mu=mu,
+                                 rate_heterogeneity=0.0)])
+
+    def test_resolves_once_per_database_and_metric(self, naming):
+        rgmanager = make_rgmanager(naming)
+        model_set = CountingModelSet(
+            [make_flat_disk_model(Edition.PREMIUM_BC, mu=12.0)])
+        rgmanager.install_models(model_set, 1)
+        db = make_db()
+        for now in (300, 600, 900):
+            rgmanager.get_metric_loads(make_replica(), db, now, 300)
+        assert model_set.find_calls == 3  # disk, memory, CPU usage
+        rgmanager.install_models(model_set, 2)
+        rgmanager.get_metric_loads(make_replica(), db, 1200, 300)
+        assert model_set.find_calls == 6
+
+    def test_republished_xml_switches_every_node(self, kernel,
+                                                 rng_registry):
+        ring = make_ring(kernel, rng_registry, node_count=4)
+        orchestrator = TotoOrchestrator(kernel, ring)
+        orchestrator.start()
+        ring.start()
+        db = ring.control_plane.create_database("BC_Gen5_4", now=0,
+                                                initial_data_gb=100.0)
+        orchestrator.publish_models(self.document(4.0), propagate_now=True)
+        kernel.run_until(HOUR)
+        old_model = ring.rgmanagers[0].model_set.models[0]
+        for rgmanager in ring.rgmanagers:
+            assert rgmanager._find_model(DISK_GB, db) is old_model
+
+        orchestrator.publish_models(self.document(8.0))  # no propagate_now
+        kernel.run_until(HOUR + 20 * MINUTE)  # every node has refreshed
+        new_model = ring.rgmanagers[0].model_set.models[0]
+        assert new_model is not old_model
+        for rgmanager in ring.rgmanagers:
+            assert rgmanager.model_version == 2
+            assert rgmanager._resolved[DISK_GB][db.db_id] is new_model
+
+    def test_dropped_database_entries_are_gone(self, kernel, rng_registry):
+        ring = make_ring(kernel, rng_registry, node_count=4)
+        orchestrator = TotoOrchestrator(kernel, ring)
+        orchestrator.start()
+        ring.start()
+        kept = ring.control_plane.create_database("BC_Gen5_4", now=0,
+                                                  initial_data_gb=100.0)
+        dropped = ring.control_plane.create_database("BC_Gen5_2", now=0,
+                                                     initial_data_gb=50.0)
+        orchestrator.publish_models(self.document(4.0), propagate_now=True)
+        kernel.run_until(HOUR)
+        for rgmanager in ring.rgmanagers:
+            assert resolved_entries(rgmanager, dropped.db_id) != []
+        ring.control_plane.drop_database(dropped.db_id, now=kernel.now)
+        for rgmanager in ring.rgmanagers:
+            assert resolved_entries(rgmanager, dropped.db_id) == []
+            assert resolved_entries(rgmanager, kept.db_id) != []
