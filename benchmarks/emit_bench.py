@@ -12,10 +12,13 @@ Usage::
         # from a machine with a different core count), or when one
         # re-measured cold lint takes >50% longer than committed, or
         # when the best-of-3 wall time of the committed single_run
-        # configuration is >25% slower than committed (skipped, like
-        # the kernel gate, across core counts)
+        # configuration is >25% slower than committed, when the
+        # best-of-3 cold start (fresh-process import plus training) is
+        # >25% slower than committed, or when the best-of-3 serial
+        # fleet replay is >25% slower than committed (the three timing
+        # gates are skipped, like the kernel gate, across core counts)
 
-Records three headline numbers so future PRs can compare against the
+Records these headline numbers so future PRs can compare against the
 current state instead of guessing:
 
 * ``kernel_events_per_sec`` — raw event-layer throughput
@@ -23,6 +26,9 @@ current state instead of guessing:
 * ``single_run`` — best-of-3 wall time (and events/sec) of one full
   benchmark run (models, PLB, telemetry included), the number that
   dominates every study;
+* ``cold_start`` — what every fresh process pays before it simulates:
+  ``import_s`` (the package's entry modules) and ``train_s``
+  (``trained_artifacts()``), each the best of 3 fresh interpreters;
 * ``sweep`` — wall-clock of the 4-density x N-seed sweep at
   ``workers=1`` vs ``workers=4`` and the resulting speedup. The block
   records ``effective_cores``; when the machine has fewer cores than
@@ -31,10 +37,10 @@ current state instead of guessing:
   ratio there is expected, not a parallelism regression);
 * ``fleet`` — the region-scale tier (docs/FLEET.md): N clusters
   stamped from one template, run serial vs sharded, recording wall
-  clock and the merged summary digest. The digest is a pure function
-  of the topology, so ``--check`` replays the committed configuration
-  and fails on any drift — a deterministic gate, immune to machine
-  noise;
+  clock (serial best of 3) and the merged summary digest. The digest
+  is a pure function of the topology, so ``--check`` replays the
+  committed configuration and fails on any drift — a deterministic
+  gate, immune to machine noise — and gates the serial wall time;
 * ``lint`` — cold vs. content-hash-cached whole-program analysis of
   ``src/repro`` (``benchmarks/bench_lint.py``).
 
@@ -54,6 +60,7 @@ import json
 import os
 import pathlib
 import platform
+import subprocess
 import sys
 import time
 
@@ -88,6 +95,30 @@ KERNEL_PASSES = 3
 SINGLE_RUN_TOLERANCE = 0.25
 #: Passes for the best-of-N single_run measurement.
 SINGLE_RUN_PASSES = 3
+#: --check fails when the re-measured cold start (import_s + train_s)
+#: exceeds the committed one by more than this fraction.
+COLD_START_TOLERANCE = 0.25
+#: Fresh interpreters for the best-of-N cold-start measurement.
+COLD_START_PASSES = 3
+#: --check fails when the best-of-N serial fleet replay exceeds the
+#: committed serial_seconds by more than this fraction.
+FLEET_TOLERANCE = 0.25
+#: Serial passes for the best-of-N fleet wall time.
+FLEET_PASSES = 3
+
+#: Run in a fresh interpreter: time the entry-module imports, then
+#: training of the shared model document, and print both as JSON.
+_COLD_START_SCRIPT = """
+import json, time
+start = time.perf_counter()
+import repro, repro.core.runner, repro.fleet, repro.parallel
+from repro.experiments.scenarios import trained_artifacts
+imported = time.perf_counter()
+trained_artifacts()
+trained = time.perf_counter()
+print(json.dumps({"import_s": imported - start,
+                  "train_s": trained - imported}))
+"""
 
 
 def bench_kernel(target_events: int) -> dict:
@@ -118,7 +149,7 @@ def check_kernel_regression(measured: float, out_path: str) -> int:
 def run_checks(out_path: str, kernel_events: int) -> int:
     """The ``--check`` regression gates against the committed record.
 
-    Seven gates, all reported before the combined verdict:
+    Eight gates, all reported before the combined verdict:
 
     * **sweep** — the committed record itself must say the parallel
       sweep reproduced the serial results (``results_identical``);
@@ -128,12 +159,18 @@ def run_checks(out_path: str, kernel_events: int) -> int:
       measures scheduler noise rather than parallelism;
     * **fleet** — replay the committed fleet configuration serially
       and compare merged digests (deterministic, machine-independent);
+      the best-of-3 serial wall time fails when it is more than
+      ``FLEET_TOLERANCE`` slower, under the kernel gate's core-count
+      rule;
     * **kernel** — re-measure and compare throughput, skipped with a
       warning when the committed record was taken on a machine with a
       different core count (throughput is not comparable across them);
     * **single_run** — re-run the committed end-to-end configuration
       best-of-3 and fail when it is more than ``SINGLE_RUN_TOLERANCE``
       slower; skipped under the kernel gate's core-count rule;
+    * **cold_start** — re-measure fresh-process import plus training,
+      best of 3, and fail when it is more than
+      ``COLD_START_TOLERANCE`` slower; same core-count rule;
     * **lint** — re-measure one cold whole-program analysis and fail
       when it regressed more than ``LINT_REGRESSION_TOLERANCE``;
     * **totonum** — same ceiling for one cold numeric-tier
@@ -180,9 +217,9 @@ def run_checks(out_path: str, kernel_events: int) -> int:
     else:
         print("sweep ratio: OK")
 
-    failures += check_fleet_gate(committed.get("fleet"))
-
     committed_cpus = committed.get("machine", {}).get("cpu_count")
+    failures += check_fleet_gate(committed.get("fleet"), committed_cpus)
+
     current_cpus = os.cpu_count()
     if committed_cpus != current_cpus:
         print(f"kernel gate SKIPPED: committed record measured on "
@@ -195,6 +232,8 @@ def run_checks(out_path: str, kernel_events: int) -> int:
                                             out_path)
 
     failures += check_single_run_gate(committed.get("single_run"),
+                                      committed_cpus)
+    failures += check_cold_start_gate(committed.get("cold_start"),
                                       committed_cpus)
 
     committed_cold = committed.get("lint", {}).get("cold_seconds")
@@ -257,15 +296,47 @@ def check_single_run_gate(single: dict, committed_cpus) -> int:
     return 0 if measured <= ceiling else 1
 
 
-def check_fleet_gate(fleet: dict) -> int:
-    """Deterministic fleet gate: replay the committed config, compare
-    digests.
+def check_cold_start_gate(cold: dict, committed_cpus) -> int:
+    """Gate: best-of-N fresh-process import plus training time.
+
+    Every CLI run, pool worker and CI job pays this before simulating
+    anything. Skipped, like the kernel gate, when the committed record
+    came from a machine with a different core count.
+    """
+    if not cold:
+        print("cold_start gate skipped: committed record has no "
+              "cold_start row")
+        return 0
+    current_cpus = os.cpu_count()
+    if committed_cpus != current_cpus:
+        print(f"cold_start gate SKIPPED: committed record measured on "
+              f"{committed_cpus} cpu(s), this machine has {current_cpus}; "
+              "wall time is not comparable across machines")
+        return 0
+    print(f"cold start, best of {COLD_START_PASSES} fresh interpreters ...",
+          flush=True)
+    row = bench_cold_start()
+    measured = round(row["import_s"] + row["train_s"], 3)
+    committed = round(cold["import_s"] + cold["train_s"], 3)
+    ceiling = committed * (1.0 + COLD_START_TOLERANCE)
+    verdict = "OK" if measured <= ceiling else "REGRESSION"
+    print(f"cold_start seconds: measured {measured} (import "
+          f"{row['import_s']}, train {row['train_s']}) vs committed "
+          f"{committed} (ceiling {ceiling:.3f}) -> {verdict}")
+    return 0 if measured <= ceiling else 1
+
+
+def check_fleet_gate(fleet: dict, committed_cpus=None) -> int:
+    """Fleet gates: replay the committed config, compare digests and
+    wall time.
 
     Unlike the timing gates, the fleet digest is a pure function of the
     topology — identical on every machine — so this gate re-runs the
     committed configuration serially and fails on *any* drift in the
     simulator, the replica and database state, the worker-side
-    reducer, or the merge.
+    reducer, or the merge. When ``committed_cpus`` matches this
+    machine the replay runs best of ``FLEET_PASSES`` and its wall time
+    is gated against the committed ``serial_seconds`` as well.
     """
     if not fleet:
         print("fleet gate skipped: committed record has no fleet row")
@@ -275,28 +346,80 @@ def check_fleet_gate(fleet: dict) -> int:
               "-> FAIL (the fleet merge must be execution-mode "
               "independent)")
         return 1
+    current_cpus = os.cpu_count()
+    timed = committed_cpus == current_cpus
+    passes = FLEET_PASSES if timed else 1
+    print(f"fleet digest replay ({fleet['clusters']} clusters, "
+          f"{passes} pass(es)) ...", flush=True)
+    digests, seconds = replay_fleet(fleet, passes)
+    drifted = [d for d in digests if d != fleet["digest"]]
+    verdict = "REGRESSION" if drifted else "OK"
+    print(f"fleet digest: measured {(drifted or digests)[0][:16]}... vs "
+          f"committed {fleet['digest'][:16]}... -> {verdict}")
+    failures = 1 if drifted else 0
+    if not timed:
+        print(f"fleet wall-time gate SKIPPED: committed record measured "
+              f"on {committed_cpus} cpu(s), this machine has "
+              f"{current_cpus}; wall time is not comparable across "
+              "machines")
+        return failures
+    ceiling = fleet["serial_seconds"] * (1.0 + FLEET_TOLERANCE)
+    verdict = "OK" if seconds <= ceiling else "REGRESSION"
+    print(f"fleet serial seconds: measured {seconds} vs committed "
+          f"{fleet['serial_seconds']} (ceiling {ceiling:.3f}) -> {verdict}")
+    return failures + (0 if seconds <= ceiling else 1)
+
+
+def replay_fleet(fleet: dict, passes: int) -> tuple:
+    """Run a fleet row's configuration serially ``passes`` times.
+
+    Returns every pass's digest and the best wall time in seconds.
+    """
     topology = FleetTopology(
         cluster_count=fleet["clusters"], prefix="bench",
         template=ClusterTemplate(node_count=fleet["node_count"],
                                  days=fleet["days"]))
-    print(f"fleet digest replay ({fleet['clusters']} clusters) ...",
-          flush=True)
-    measured = run_fleet(topology, max_workers=1).digest
-    verdict = "OK" if measured == fleet["digest"] else "REGRESSION"
-    print(f"fleet digest: measured {measured[:16]}... vs committed "
-          f"{fleet['digest'][:16]}... -> {verdict}")
-    return 0 if measured == fleet["digest"] else 1
+    digests = []
+    best = None
+    for _ in range(passes):
+        start = time.perf_counter()
+        digests.append(run_fleet(topology, max_workers=1).digest)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return digests, round(best, 2)
+
+
+def bench_cold_start() -> dict:
+    """Best-of-N import and training time, each in a fresh interpreter."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    passes = []
+    for _ in range(COLD_START_PASSES):
+        proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        passes.append(json.loads(proc.stdout))
+    return {
+        "import_s": round(min(p["import_s"] for p in passes), 3),
+        "train_s": round(min(p["train_s"] for p in passes), 3),
+        "passes": COLD_START_PASSES,
+    }
 
 
 def bench_fleet(clusters: int, node_count: int, days: float,
                 workers: int) -> dict:
-    """Fleet-scale row: serial vs sharded wall clock plus the digest."""
+    """Fleet-scale row: serial (best of N) vs sharded wall clock plus
+    the digest."""
     topology = FleetTopology(
         cluster_count=clusters, prefix="bench",
         template=ClusterTemplate(node_count=node_count, days=days))
-    start = time.perf_counter()
-    serial = run_fleet(topology, max_workers=1)
-    serial_seconds = time.perf_counter() - start
+    serial_seconds = None
+    for _ in range(FLEET_PASSES):
+        start = time.perf_counter()
+        serial = run_fleet(topology, max_workers=1)
+        elapsed = time.perf_counter() - start
+        serial_seconds = (elapsed if serial_seconds is None
+                          else min(serial_seconds, elapsed))
     start = time.perf_counter()
     sharded = run_fleet(topology, max_workers=workers)
     sharded_seconds = time.perf_counter() - start
@@ -307,6 +430,7 @@ def bench_fleet(clusters: int, node_count: int, days: float,
         "databases": serial.kpis.databases_created,
         "events": serial.kpis.events_executed,
         "serial_seconds": round(serial_seconds, 2),
+        "passes": FLEET_PASSES,
         "sharded_seconds": round(sharded_seconds, 2),
         "workers": workers,
         "effective_cores": os.cpu_count() or 1,
@@ -412,6 +536,11 @@ def main(argv=None) -> int:
     print(f"  {kernel['events_per_sec']:,.0f} events/sec "
           f"(best of {kernel['passes']})")
 
+    print("cold start, fresh interpreters ...", flush=True)
+    cold_start = bench_cold_start()
+    print(f"  import {cold_start['import_s']}s, train "
+          f"{cold_start['train_s']}s (best of {cold_start['passes']})")
+
     print(f"single {run_days:g}-day run ...", flush=True)
     single = bench_single_run(run_days)
     print(f"  {single['events_per_sec']:,.1f} events/sec "
@@ -458,6 +587,7 @@ def main(argv=None) -> int:
         },
         "kernel_events_per_sec": round(kernel["events_per_sec"]),
         "single_run": single,
+        "cold_start": cold_start,
         "sweep": sweep,
         "fleet": fleet,
         "lint": lint,

@@ -61,15 +61,21 @@ def robust_sigma(deltas: np.ndarray) -> float:
 
 def label_initial_growth(trace: DiskUsageTrace) -> bool:
     """Apply the 12 GB-in-5-minutes rule to a trace's first period."""
-    deltas = trace.deltas()
+    return _is_initial_growth(trace.deltas())
+
+
+def label_rapid_growth(trace: DiskUsageTrace) -> bool:
+    """Detect the spike-up / spike-down ETL signature (§4.2.4)."""
+    return _is_rapid_growth(trace.deltas())
+
+
+def _is_initial_growth(deltas: np.ndarray) -> bool:
     if deltas.size == 0:
         raise TrainingError("trace too short to label")
     return bool(deltas[0] >= INITIAL_GROWTH_PERIOD_THRESHOLD_GB)
 
 
-def label_rapid_growth(trace: DiskUsageTrace) -> bool:
-    """Detect the spike-up / spike-down ETL signature (§4.2.4)."""
-    deltas = trace.deltas()
+def _is_rapid_growth(deltas: np.ndarray) -> bool:
     if deltas.size < PERIODS_PER_DAY:
         return False
     # Exclude the initial-creation window from spike statistics.
@@ -136,8 +142,8 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
     for trace in traces:
         deltas = trace.deltas()
         total_samples += deltas.size
-        is_initial = label_initial_growth(trace)
-        is_rapid = label_rapid_growth(trace)
+        is_initial = _is_initial_growth(deltas)
+        is_rapid = _is_rapid_growth(deltas)
 
         start_index = 0
         if is_initial:
@@ -178,26 +184,39 @@ def build_delta_disk_dataset(traces: List[DiskUsageTrace],
     )
 
 
+#: The 48 (day type, hour) cells, indexed by ``24 * is_weekend + hour``.
+_CELLS = tuple((daytype, hour)
+               for daytype in (DayType.WEEKDAY, DayType.WEEKEND)
+               for hour in range(24))
+
+
 def _collect_steady(deltas: np.ndarray, offset_periods: int,
                     start_weekday: int,
                     steady_by_cell: Dict[Tuple[DayType, int], List[float]],
                     exclude_spikes: bool) -> None:
-    """Append steady samples into their (day type, hour) cells."""
-    if deltas.size == 0:
-        return
-    threshold = None
+    """Append steady samples into their (day type, hour) cells.
+
+    Each cell receives its samples in period order, and a cell new to
+    ``steady_by_cell`` is added in the order of its first sample.
+    """
+    periods = offset_periods + np.arange(deltas.size)
     if exclude_spikes:
         sigma = robust_sigma(deltas)
-        threshold = RAPID_SPIKE_SIGMA * sigma if sigma > 0 else None
-    for index, delta in enumerate(deltas):
-        if threshold is not None and abs(float(delta)) > threshold:
-            continue
-        period = offset_periods + index
-        hour = (period // PERIODS_PER_HOUR) % 24
-        day = period // PERIODS_PER_DAY
-        daytype = (DayType.WEEKEND if (start_weekday + day) % 7 >= 5
-                   else DayType.WEEKDAY)
-        steady_by_cell.setdefault((daytype, hour), []).append(float(delta))
+        if sigma > 0:
+            keep = np.abs(deltas) <= RAPID_SPIKE_SIGMA * sigma
+            deltas, periods = deltas[keep], periods[keep]
+    weekend = (start_weekday + periods // PERIODS_PER_DAY) % 7 >= 5
+    cells = 24 * weekend + (periods // PERIODS_PER_HOUR) % 24
+    # A stable sort groups the samples by cell and keeps period order
+    # inside each group; a group's first entry is its first sample.
+    order = np.argsort(cells, kind="stable")
+    grouped = cells[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    values = deltas[order].tolist()
+    bounds = starts.tolist() + [len(values)]
+    for i in np.argsort(order[starts]).tolist():
+        steady_by_cell.setdefault(_CELLS[grouped[starts[i]]], []).extend(
+            values[bounds[i]:bounds[i + 1]])
 
 
 def _extract_rapid(deltas: np.ndarray, increases: List[float],

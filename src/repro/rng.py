@@ -22,7 +22,6 @@ None`` test.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, \
     Tuple, Union, cast
@@ -126,13 +125,6 @@ class RngRegistry:
         return BatchedStream(self.stream(*name))
 
 
-#: When truthy, :class:`BatchedStream` degrades every batch to the
-#: equivalent sequence of scalar draws. Useful to (a) run without fast
-#: vectorized numpy paths and (b) A/B-verify that batching is
-#: draw-for-draw identical (tests flip :data:`SCALAR_SAMPLING`).
-SCALAR_SAMPLING = bool(os.environ.get("TOTO_SCALAR_SAMPLING"))
-
-
 class BatchedStream:
     """Vectorized draw helper bound to one generator (one substream).
 
@@ -160,11 +152,6 @@ class BatchedStream:
         """One masked array-parameter normal draw per ``sigma > 0`` cell."""
         mu_arr = np.asarray(mus, dtype=float)
         sigma_arr = np.asarray(sigmas, dtype=float)
-        if SCALAR_SAMPLING:
-            generator = self.generator
-            return np.array(
-                [float(generator.normal(mu, sigma)) if sigma > 0 else mu
-                 for mu, sigma in zip(mu_arr, sigma_arr)], dtype=float)
         out = mu_arr.copy()
         mask = sigma_arr > 0
         if mask.all():
@@ -176,9 +163,5 @@ class BatchedStream:
 
     def integers(self, low: int, high: int, n: int) -> np.ndarray:
         """``n`` draws of ``integers(low, high)`` in one call."""
-        if SCALAR_SAMPLING:
-            generator = self.generator
-            return np.array([int(generator.integers(low, high))
-                             for _ in range(n)], dtype=np.int64)
         return np.asarray(self.generator.integers(low, high, size=n),
                           dtype=np.int64)

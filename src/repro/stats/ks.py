@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+# scipy.stats is imported inside the functions that use it: it takes
+# ~1 s to import and a simulation run never calls them.
 
 from repro.errors import TrainingError
 
@@ -45,6 +46,7 @@ def ks_normality_test(sample: Sequence[float]) -> KsTestResult:
     sigma = float(data.std(ddof=1))
     if sigma == 0.0:
         raise TrainingError("K-S test undefined for zero-variance sample")
+    from scipy import stats as sps
     statistic, p_value = sps.kstest(data, "norm",
                                     args=(float(data.mean()), sigma))
     return KsTestResult(statistic=float(statistic), p_value=float(p_value),

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+# scipy.stats is imported inside the functions that use it: it takes
+# ~1 s to import and a simulation run never calls them.
 
 from repro.errors import TrainingError
 
@@ -51,6 +52,7 @@ def wilcoxon_signed_rank(sample_a: Sequence[float],
     differences = a - b
     if np.all(differences == 0):
         return WilcoxonResult(statistic=0.0, p_value=1.0, n_pairs=int(a.size))
+    from scipy import stats as sps
     statistic, p_value = sps.wilcoxon(a, b, zero_method="wilcox")
     return WilcoxonResult(statistic=float(statistic), p_value=float(p_value),
                           n_pairs=int(a.size))

@@ -103,6 +103,20 @@ class UtilizationSample:
     idle: bool
 
 
+def _clamped_usage(start_gb: float, deltas: np.ndarray) -> np.ndarray:
+    """The series ``usage[k + 1] = max(usage[k] + deltas[k], 0.1)``.
+
+    ``np.cumsum`` adds in sequence, so while no value drops below the
+    0.1 GB floor it equals the recurrence bit for bit; only a series
+    that touches the floor takes the element-wise loop.
+    """
+    usage = np.cumsum(np.concatenate(([start_gb], deltas)))
+    if (usage < 0.1).any():
+        for period, delta in enumerate(deltas.tolist()):
+            usage[period + 1] = max(float(usage[period]) + delta, 0.1)
+    return usage
+
+
 class ProductionTraceGenerator:
     """Emits the synthetic production corpus for one region."""
 
@@ -110,6 +124,10 @@ class ProductionTraceGenerator:
                  rng: np.random.Generator) -> None:
         self.profile = profile
         self._rng = rng
+        #: ``profile.disk_delta_mu`` by [is_weekend][hour].
+        self._disk_delta_mu = np.array(
+            [[profile.disk_delta_mu(weekend, hour) for hour in range(24)]
+             for weekend in (False, True)])
 
     # ------------------------------------------------------------------
     # Create/drop event traces (Figures 6 and 8)
@@ -171,9 +189,6 @@ class ProductionTraceGenerator:
                                     profile.gp_start_log_sigma),
                 0.5, 2048.0))
             delta_scale = 1.0
-        usage = np.empty(n_periods + 1)
-        usage[0] = start_gb
-
         rapid_cycle = None
         if pattern == "rapid":
             rapid_cycle = self._sample_rapid_cycle(edition)
@@ -194,22 +209,25 @@ class ProductionTraceGenerator:
             initial_total = float(np.clip(
                 self._rng.lognormal(log_mu, log_sigma), 30.0, cap))
 
-        # Restores are front-loaded: 60% of the growth lands in the
-        # first 20-minute period, the rest in the second.
-        initial_shares = (0.6, 0.4)
-        for period in range(n_periods):
-            hour = (period // PERIODS_PER_HOUR) % 24
-            weekend = (start_weekday + period // PERIODS_PER_DAY) % 7 >= 5
-            mu = profile.disk_delta_mu(weekend, hour) * delta_scale
-            delta = float(self._rng.normal(
-                mu, profile.disk_delta_sigma * delta_scale))
-            if pattern == "initial" and period < len(initial_shares):
-                delta += initial_total * initial_shares[period]
-            if rapid_cycle is not None:
-                delta += self._rapid_delta(rapid_cycle, period)
-            usage[period + 1] = max(usage[period] + delta, 0.1)
+        # One array draw per trace: numpy's array ``normal`` advances
+        # PCG64 exactly like one scalar call per period, in order.
+        periods = np.arange(n_periods)
+        hours = (periods // PERIODS_PER_HOUR) % 24
+        weekend = (start_weekday + periods // PERIODS_PER_DAY) % 7 >= 5
+        mus = self._disk_delta_mu[weekend.astype(int), hours] * delta_scale
+        deltas = self._rng.normal(mus,
+                                  profile.disk_delta_sigma * delta_scale)
+        if pattern == "initial":
+            # Restores are front-loaded: 60% of the growth lands in the
+            # first 20-minute period, the rest in the second.
+            for period, share in enumerate((0.6, 0.4)[:n_periods]):
+                deltas[period] += initial_total * share
+        if rapid_cycle is not None:
+            deltas += [self._rapid_delta(rapid_cycle, period)
+                       for period in range(n_periods)]
+        usage = _clamped_usage(start_gb, deltas)
         return DiskUsageTrace(db_index=db_index, edition=edition,
-                              usage_gb=tuple(float(x) for x in usage),
+                              usage_gb=tuple(usage.tolist()),
                               pattern=pattern)
 
     def disk_corpus(self, n_databases: int = 400, days: int = 14,

@@ -8,16 +8,15 @@ an array draw and the equivalent element-wise loop — and because
 out of the array call. These tests pin the claim at three levels:
 
 * the primitive: array draws equal the scalar loop draw-for-draw;
-* the façade: ``TOTO_SCALAR_SAMPLING`` (module flag
-  ``repro.rng.SCALAR_SAMPLING``) degrades to the scalar loop and the
-  values do not move;
+* the façade: ``BatchedStream`` equals :func:`scalar_normals` and
+  :func:`scalar_integers`, in-test copies of the scalar loops it
+  replaces;
 * the system: a full benchmark run produces identical KPIs and frames
-  with batching on and off.
+  with ``BatchedStream`` and with those scalar loops patched in.
 """
 
 import numpy as np
 
-from repro import rng as rng_module
 from repro.core.create_drop import CreateDropModel
 from repro.core.hourly_schedule import DayType, HourlyNormalSchedule
 from repro.sqldb.editions import Edition
@@ -28,6 +27,23 @@ from repro.rng import BatchedStream, RngRegistry
 
 def fresh_generator(seed=1234):
     return np.random.default_rng(seed)
+
+
+def scalar_normals(self, mus, sigmas):
+    """Reference for ``BatchedStream.normals``: one draw per cell."""
+    generator = self.generator
+    return np.array(
+        [float(generator.normal(mu, sigma)) if sigma > 0 else mu
+         for mu, sigma in zip(np.asarray(mus, dtype=float),
+                              np.asarray(sigmas, dtype=float))],
+        dtype=float)
+
+
+def scalar_integers(self, low, high, n):
+    """Reference for ``BatchedStream.integers``: one draw per value."""
+    generator = self.generator
+    return np.array([int(generator.integers(low, high)) for _ in range(n)],
+                    dtype=np.int64)
 
 
 class TestBatchedStreamPrimitive:
@@ -64,17 +80,18 @@ class TestBatchedStreamPrimitive:
                   for _ in range(50)]
         assert batched.tolist() == scalar
 
-    def test_scalar_sampling_flag_is_value_identical(self, monkeypatch):
+    def test_scalar_reference_loop_is_value_identical(self):
         mus = np.linspace(-1.0, 4.0, 17)
         sigmas = np.abs(np.sin(mus))  # includes an exact zero
-        vectorized = BatchedStream(fresh_generator()).normals(mus, sigmas)
-        monkeypatch.setattr(rng_module, "SCALAR_SAMPLING", True)
-        scalar = BatchedStream(fresh_generator()).normals(mus, sigmas)
-        assert vectorized.tolist() == scalar.tolist()
-
-        vec_ints = BatchedStream(fresh_generator()).integers(5, 99, 31)
-        scalar_ints = BatchedStream(fresh_generator()).integers(5, 99, 31)
-        assert vec_ints.tolist() == scalar_ints.tolist()
+        vectorized = BatchedStream(fresh_generator())
+        scalar = BatchedStream(fresh_generator())
+        assert (vectorized.normals(mus, sigmas).tolist()
+                == scalar_normals(scalar, mus, sigmas).tolist())
+        assert (vectorized.integers(5, 99, 31).tolist()
+                == scalar_integers(scalar, 5, 99, 31).tolist())
+        # Both consumed the stream identically.
+        assert (vectorized.generator.bit_generator.state
+                == scalar.generator.bit_generator.state)
 
     def test_registry_batched_wraps_the_same_substream(self):
         registry = RngRegistry(7)
@@ -120,11 +137,12 @@ class TestSampleCounts:
 
 class TestEndToEndByteIdentity:
     def test_run_identical_with_and_without_batching(self, monkeypatch):
-        """Flip TOTO_SCALAR_SAMPLING: the benchmark must not move."""
+        """Swap in the scalar loops: the benchmark must not move."""
         scenario = paper_scenario(density=1.1, days=0.1, seed=99,
                                   maintenance=True)
         vectorized = run_scenario(scenario)
-        monkeypatch.setattr(rng_module, "SCALAR_SAMPLING", True)
+        monkeypatch.setattr(BatchedStream, "normals", scalar_normals)
+        monkeypatch.setattr(BatchedStream, "integers", scalar_integers)
         scalar = run_scenario(scenario)
         assert vectorized.kpis == scalar.kpis
         assert vectorized.frames == scalar.frames

@@ -11,6 +11,7 @@ fire on any drift.
 import json
 
 from benchmarks.emit_bench import (
+    check_cold_start_gate,
     check_fleet_gate,
     check_single_run_gate,
     run_checks,
@@ -184,6 +185,73 @@ class TestSingleRunGate:
         assert committed["single_run"]["seconds"] > 0
 
 
+class TestColdStartGate:
+    """The fresh-process import plus training gate."""
+
+    ROW = {"import_s": 0.3, "train_s": 0.7, "passes": 3}
+
+    def stub_cold_start(self, monkeypatch, import_s, train_s):
+        import benchmarks.emit_bench as emit_bench
+        calls = []
+
+        def fake():
+            calls.append(True)
+            return {"import_s": import_s, "train_s": train_s, "passes": 3}
+
+        monkeypatch.setattr(emit_bench, "bench_cold_start", fake)
+        monkeypatch.setattr(emit_bench.os, "cpu_count", lambda: 2)
+        return calls
+
+    def test_missing_row_is_skipped(self, capsys):
+        assert check_cold_start_gate(None, committed_cpus=2) == 0
+        assert "no cold_start row" in capsys.readouterr().out
+
+    def test_skipped_across_core_counts(self, monkeypatch, capsys):
+        calls = self.stub_cold_start(monkeypatch, 9.0, 9.0)
+        assert check_cold_start_gate(self.ROW, committed_cpus=1) == 0
+        assert "cold_start gate SKIPPED" in capsys.readouterr().out
+        assert calls == []
+
+    def test_within_tolerance_passes(self, monkeypatch, capsys):
+        self.stub_cold_start(monkeypatch, 0.35, 0.85)
+        assert check_cold_start_gate(self.ROW, committed_cpus=2) == 0
+        assert "-> OK" in capsys.readouterr().out
+
+    def test_slow_cold_start_fails(self, monkeypatch, capsys):
+        # scipy.stats back at import time: +0.9 s on a 1.0 s budget.
+        self.stub_cold_start(monkeypatch, 1.2, 0.7)
+        assert check_cold_start_gate(self.ROW, committed_cpus=2) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_run_checks_includes_the_gate(self, tmp_path, monkeypatch,
+                                          capsys):
+        import benchmarks.emit_bench as emit_bench
+        self.stub_cold_start(monkeypatch, 5.0, 5.0)
+        path = committed_record(tmp_path, machine={"cpu_count": 2},
+                                cold_start=self.ROW)
+        monkeypatch.setattr(emit_bench, "check_kernel_regression",
+                            lambda measured, out_path: 0)
+        monkeypatch.setattr(emit_bench, "bench_kernel",
+                            lambda events: {"events_per_sec": 1.0})
+        assert run_checks(path, kernel_events=1) == 1
+        assert "cold_start seconds: measured 10.0" in capsys.readouterr().out
+
+    def test_emitter_times_fresh_interpreters(self, monkeypatch):
+        import benchmarks.emit_bench as emit_bench
+        monkeypatch.setattr(emit_bench, "COLD_START_PASSES", 1)
+        row = emit_bench.bench_cold_start()
+        assert row["passes"] == 1
+        assert row["import_s"] > 0
+        assert row["train_s"] > 0
+
+    def test_committed_record_has_a_cold_start_row(self):
+        import pathlib
+        root = pathlib.Path(__file__).resolve().parent.parent
+        committed = json.loads((root / "BENCH_perf.json").read_text())
+        assert committed["cold_start"]["passes"] == 3
+        assert committed["cold_start"]["train_s"] > 0
+
+
 class TestFleetGate:
     CONFIG = {"clusters": 1, "node_count": 4, "days": 0.05}
 
@@ -215,3 +283,75 @@ class TestFleetGate:
                      digests_identical=True)
         assert check_fleet_gate(fleet) == 1
         assert "REGRESSION" in capsys.readouterr().out
+
+
+class TestFleetWallGate:
+    """The fleet row's serial wall time, gated like single_run."""
+
+    ROW = {"clusters": 1, "node_count": 4, "days": 0.05, "digest": "d",
+           "digests_identical": True, "serial_seconds": 10.0, "passes": 3}
+
+    def stub_replay(self, monkeypatch, seconds, digest="d"):
+        import benchmarks.emit_bench as emit_bench
+        calls = []
+
+        def fake(fleet, passes):
+            calls.append(passes)
+            return [digest] * passes, seconds
+
+        monkeypatch.setattr(emit_bench, "replay_fleet", fake)
+        monkeypatch.setattr(emit_bench.os, "cpu_count", lambda: 2)
+        return calls
+
+    def test_skipped_across_core_counts_but_digest_checked(
+            self, monkeypatch, capsys):
+        calls = self.stub_replay(monkeypatch, seconds=99.0)
+        assert check_fleet_gate(self.ROW, committed_cpus=1) == 0
+        out = capsys.readouterr().out
+        assert "fleet wall-time gate SKIPPED" in out
+        assert "fleet digest: measured d... vs committed d... -> OK" in out
+        assert calls == [1]
+
+    def test_within_tolerance_passes(self, monkeypatch, capsys):
+        calls = self.stub_replay(monkeypatch, seconds=12.4)
+        assert check_fleet_gate(self.ROW, committed_cpus=2) == 0
+        assert "fleet serial seconds: measured 12.4" in \
+            capsys.readouterr().out
+        assert calls == [3]  # best of FLEET_PASSES
+
+    def test_slow_fleet_fails(self, monkeypatch, capsys):
+        self.stub_replay(monkeypatch, seconds=12.6)
+        assert check_fleet_gate(self.ROW, committed_cpus=2) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_slow_and_drifted_count_twice(self, monkeypatch):
+        self.stub_replay(monkeypatch, seconds=12.6, digest="e")
+        assert check_fleet_gate(self.ROW, committed_cpus=2) == 2
+
+    def test_run_checks_passes_the_core_count(self, tmp_path, monkeypatch,
+                                              capsys):
+        import benchmarks.emit_bench as emit_bench
+        self.stub_replay(monkeypatch, seconds=30.0)
+        path = committed_record(tmp_path, machine={"cpu_count": 2},
+                                fleet=self.ROW)
+        monkeypatch.setattr(emit_bench, "check_kernel_regression",
+                            lambda measured, out_path: 0)
+        monkeypatch.setattr(emit_bench, "bench_kernel",
+                            lambda events: {"events_per_sec": 1.0})
+        assert run_checks(path, kernel_events=1) == 1
+        assert "fleet serial seconds: measured 30.0" in \
+            capsys.readouterr().out
+
+    def test_replay_returns_every_digest(self):
+        import benchmarks.emit_bench as emit_bench
+        digests, seconds = emit_bench.replay_fleet(
+            dict(self.ROW, days=0.01), passes=2)
+        assert len(digests) == 2 and digests[0] == digests[1]
+        assert seconds > 0
+
+    def test_committed_fleet_row_is_best_of_passes(self):
+        import pathlib
+        root = pathlib.Path(__file__).resolve().parent.parent
+        committed = json.loads((root / "BENCH_perf.json").read_text())
+        assert committed["fleet"]["passes"] == 3
+        assert committed["fleet"]["digest"].startswith("ddd9d30b")
